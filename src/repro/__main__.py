@@ -158,8 +158,7 @@ def _series_probe(args) -> TimeSeriesProbe:
     return TimeSeriesProbe(window=args.window)
 
 
-def _cmd_run(args) -> int:
-    cfg = _experiment_config(args)
+def _cmd_run(args, cfg: ExperimentConfig) -> int:
     tracing = args.trace is not None or args.series is not None
     if tracing and args.scheme == "all":
         print("error: --trace/--series need a single --scheme",
@@ -260,8 +259,8 @@ def _write_series(series: TimeSeriesProbe, prefix: str) -> None:
         pass  # non-grid topology: no spatial layout to plot
 
 
-def _cmd_trace(args) -> int:
-    cfg = _experiment_config(args).with_scheme(SCHEMES[args.scheme])
+def _cmd_trace(args, cfg: ExperimentConfig) -> int:
+    cfg = cfg.with_scheme(SCHEMES[args.scheme])
     tracer = FlitTracer(max_events=args.max_events)
     series = TimeSeriesProbe(window=args.window)
     res = run_experiment(cfg, probe=CompositeProbe(tracer, series))
@@ -596,10 +595,13 @@ def main(argv=None) -> int:
         return _cmd_figure(args)
     if args.command == "all":
         return _cmd_all(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
+    if args.command in ("run", "trace"):
+        try:
+            cfg = _experiment_config(args)
+        except ValueError as exc:
+            parser.error(f"refused configuration: {exc}")
+        command = _cmd_run if args.command == "run" else _cmd_trace
+        return command(args, cfg)
     if args.command == "bench":
         kwargs = {}
         if args.cycles is not None:

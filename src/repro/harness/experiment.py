@@ -21,10 +21,10 @@ from ..network.backend import (BackendUnsupportedError, backend_of,
                                choose_backend, resolve_backend)
 from ..network.config import NetworkConfig, PseudoCircuitConfig
 from ..network.simulator import Network
-from ..topology import make_topology
+from ..topology import TOPOLOGY_REGISTRY, make_topology
 from ..traffic.synthetic import SyntheticTraffic
 from ..traffic.trace import Trace, TraceReplayTraffic
-from .traces import get_trace
+from .traces import get_trace, trace_key
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,27 @@ class ExperimentConfig:
     backend: str | None = None
 
     def __post_init__(self):
+        """The one place a config is checked: refusals raise
+        ``ValueError`` naming the refused value, before anything runs."""
         if (self.benchmark is None) == (self.pattern is None):
             raise ValueError(
                 "configure exactly one of benchmark= or pattern=")
+        if self.benchmark is not None:
+            budgets = (("trace_cycles", self.trace_cycles, 1),
+                       ("trace_warmup", self.trace_warmup, 0))
+        else:
+            budgets = (("synth_cycles", self.synth_cycles, 1),
+                       ("synth_warmup", self.synth_warmup, 0))
+        for name, value, least in budgets:
+            if value < least:
+                raise ValueError(
+                    f"{name} must be at least {least}, got {value}")
+        info = TOPOLOGY_REGISTRY.get(self.topology)
+        if info is not None and self.routing not in info.routings:
+            raise ValueError(
+                f"routing {self.routing!r} is not supported on topology "
+                f"{self.topology!r} (supported: "
+                f"{', '.join(info.routings)})")
         # Resolve the backend at construction so equality, run-cache and
         # store keys always carry a concrete backend name — results from
         # different backends never alias, whatever the process default
@@ -275,9 +293,7 @@ def run_experiment(config: ExperimentConfig, *, use_cache: bool = True,
     else:
         net = build_network(config, probe=probe)
     if config.benchmark is not None:
-        trace = get_trace(config.benchmark, cycles=config.trace_cycles,
-                          warmup=config.trace_warmup, seed=config.seed)
-        _replay(net, trace)
+        _replay(net, get_trace(*trace_key(config)))
     else:
         traffic = SyntheticTraffic(config.pattern,
                                    net.topology.num_terminals, config.rate,

@@ -31,7 +31,19 @@ On top of that ordered merge the scheduler is built to *survive*
   content-addressed ``ResultStore`` (explicit ``store=`` or the
   process-wide default installed by
   ``experiment.set_default_store``), so a *new process* reruns nothing
-  that is already known.
+  that is already known. The scheduler owns both ends: ``collect_todo``
+  looks every point up once before anything runs and ``finish_point``
+  writes each result once as it lands; the simulations themselves (in
+  a worker or inline) touch neither memo nor store.
+* **Trace dependencies** — a CMP trace is a dependency of every point
+  that replays it, generated once per sweep: the first pooled chunk
+  that needs a trace generates it in its worker and sends it back as
+  compact bytes (``traces.pack_trace``); chunks that need it wait for
+  it and carry it to their workers, which install it into their trace
+  memo before running. Held chunks share the retry and degrade paths
+  of submitted ones, and a failed generation is retried by the next
+  chunk that needs the trace. Each generation emits a ``trace``
+  telemetry event.
 * **Telemetry** — with ``telemetry=`` every scheduling decision and
   cost lands in an append-only span/event stream
   (``repro.telemetry``): one closed span per completed point stamped
@@ -52,9 +64,9 @@ On top of that ordered merge the scheduler is built to *survive*
   and a failing batch falls back to solo execution with the full
   retry budget — batching is purely a throughput tier.
 
-Workers are forked (POSIX default), so they inherit the parent's trace
-and run caches; results travel back pickled and are folded into the
-parent's cache, which lets the figure code keep its cheap memoized
+Workers are forked (POSIX default), so they inherit the parent's run
+cache; results travel back pickled and are folded into the parent's
+cache, which lets the figure code keep its cheap memoized
 ``run_experiment`` calls after a ``prefetch``. ``check=True`` runs
 bypass every cache layer — memo, store and journal — because a replayed
 result would silently skip the monitors.
@@ -75,6 +87,8 @@ from ..store import (SweepJournal, payload_to_result, result_to_payload,
 from .experiment import (ExperimentConfig, Result, backend_decision,
                          batch_key, cache_result, cached, default_store,
                          memo_hit, run_batch_experiments, run_experiment)
+from .traces import (get_trace, has_trace, install_trace, pack_trace,
+                     trace_key)
 
 
 def derive_seed(sweep_seed: int, *coords) -> int:
@@ -144,20 +158,49 @@ class SweepPointError(RuntimeError):
                                   self.attempts, self.backoff_s))
 
 
+def _point_error(cfg: ExperimentConfig, exc: Exception) -> SweepPointError:
+    """``exc`` raised while running ``cfg``, labelled with the point."""
+    try:
+        manifest = run_manifest(cfg, seed=cfg.seed)
+    except Exception:
+        manifest = None  # provenance must never mask the real failure
+    return SweepPointError(f"{cfg.label} ({cfg!r})",
+                           f"{type(exc).__name__}: {exc}", manifest)
+
+
 def _run_point(cfg: ExperimentConfig, check: bool = False,
                check_stride: int = 1) -> Result:
-    """Simulate one point, labelling any failure with the point's config."""
+    """Simulate one point, labelling any failure with the point's config.
+
+    The cache layers are the scheduler's: ``collect_todo`` consulted
+    them before the point was scheduled and ``finish_point`` writes the
+    result through, so the run itself neither reads nor writes them.
+    """
     try:
-        return run_experiment(cfg, check=check, check_stride=check_stride)
+        return run_experiment(cfg, use_cache=False, check=check,
+                              check_stride=check_stride)
     except Exception as exc:
-        try:
-            manifest = run_manifest(cfg, seed=cfg.seed)
-        except Exception:
-            manifest = None  # provenance must never mask the real failure
-        raise SweepPointError(
-            f"{cfg.label} ({cfg!r})", f"{type(exc).__name__}: {exc}",
-            manifest,
-        ) from exc
+        raise _point_error(cfg, exc) from exc
+
+
+def _prepare_trace(cfg: ExperimentConfig, tel=None) -> None:
+    """Generate the CMP trace ``cfg`` replays unless this process holds it.
+
+    A failure is labelled with ``cfg`` like a failure of the point
+    itself. With ``tel`` each generation emits a ``trace`` event with
+    its wall, so a sweep's stream counts and times every trace it made.
+    """
+    key = trace_key(cfg)
+    if key is None or has_trace(key):
+        return
+    start = time.perf_counter() if tel is not None else 0.0
+    try:
+        get_trace(*key)
+    except Exception as exc:
+        raise _point_error(cfg, exc) from exc
+    if tel is not None:
+        tel.emit("trace", benchmark=key[0], key=list(key),
+                 dur_s=round(time.perf_counter() - start, 6))
 
 
 def _group_units(todo: Sequence[tuple], batch_size: int) -> list[list]:
@@ -249,6 +292,7 @@ def _run_unit(points: Sequence[tuple], check: bool = False,
     for idx, cfg in points:
         start = time.perf_counter()
         try:
+            _prepare_trace(cfg, tel)
             result = _run_point(cfg, check, check_stride)
         except SweepPointError as err:
             if tel is not None:
@@ -287,12 +331,18 @@ def _worker_telemetry(spec):
 
 def _run_chunk(units: Sequence[Sequence[tuple]],
                check: bool = False, check_stride: int = 1,
-               telemetry=None) -> list:
+               telemetry=None, shipped: dict | None = None,
+               export: Sequence[tuple] = ()) -> tuple[list, dict]:
     """Worker entry point: simulate one chunk of units, in order.
 
-    ``units`` hold ``(idx, cfg)`` points. Returns one outcome per
-    *point* (units flattened in order): either a ``Result`` or the
-    ``SweepPointError`` that point raised (both pickle-safe).
+    ``units`` hold ``(idx, cfg)`` points. ``shipped`` maps trace keys
+    to ``pack_trace`` bytes, installed into this worker's trace memo
+    before any point runs; ``export`` names the trace keys this chunk
+    generates for the rest of the sweep. Returns ``(outcomes, packed)``:
+    one outcome per *point* (units flattened in order), either a
+    ``Result`` or the ``SweepPointError`` that point raised (both
+    pickle-safe), and the packed bytes of each ``export`` trace that
+    now exists (a failed generation is simply absent).
     ``telemetry`` is ``(stream path, sweep id)`` or ``None``; with it,
     the worker appends spans to the shared stream as points complete
     and a cumulative ``worker_store`` counter delta after each chunk.
@@ -301,9 +351,16 @@ def _run_chunk(units: Sequence[Sequence[tuple]],
     if telemetry is not None:
         tel, baseline = _worker_telemetry(telemetry)
     start = time.perf_counter()
+    for key, packed in (shipped or {}).items():
+        install_trace(key, packed)
     outcomes = []
     for points in units:
         outcomes.extend(_run_unit(points, check, check_stride, tel))
+    exported = {}
+    for key in export:
+        packed = pack_trace(key)
+        if packed is not None:
+            exported[key] = packed
     if tel is not None:
         fields = {"points": len(outcomes),
                   "busy_s": round(time.perf_counter() - start, 6)}
@@ -311,7 +368,7 @@ def _run_chunk(units: Sequence[Sequence[tuple]],
         if store is not None and baseline is not None:
             fields["stats"] = store.stats_delta(baseline)
         tel.emit("worker_store", **fields)
-    return outcomes
+    return outcomes, exported
 
 
 def _open_journal(journal, resume: bool):
@@ -480,6 +537,7 @@ class _Scheduler:
             attempt += 1
             t0 = time.perf_counter() if tel is not None else 0.0
             try:
+                _prepare_trace(cfg, tel)
                 result = _run_point(cfg, self.check, self.check_stride)
             except SweepPointError as err:
                 last = err
@@ -553,6 +611,16 @@ class _Scheduler:
         progress for ``timeout`` seconds all funnel the affected points
         into an in-process retry pass with backoff; the first point (in
         input order) to exhaust its attempts raises.
+
+        CMP traces are dependencies of the chunks that replay them. The
+        first chunk to need a trace generates it in its worker and sends
+        it back packed; chunks that need a trace still being generated
+        are held and go out carrying it once it lands. A trace the
+        parent already holds ships with every chunk from the start. So
+        each trace is generated once per sweep, however many points
+        replay it. If the generating chunk fails, the trace is unclaimed
+        and the next held chunk that needs it generates it instead;
+        held chunks share the degrade paths of submitted ones.
         """
         tel = self.tel
         npoints = sum(len(unit) for unit in units)
@@ -574,52 +642,80 @@ class _Scheduler:
         if cur:
             chunks.append(cur)
         workers = min(max_workers, len(chunks))
+        needs = [{key for unit in chunk for _, cfg in unit
+                  if (key := trace_key(cfg)) is not None}
+                 for chunk in chunks]
+        # trace key -> pack_trace bytes, shipped with every chunk needing it
+        ready = {key: pack_trace(key) for key in set().union(*needs)
+                 if has_trace(key)}
         if tel is not None:
             tel.emit("dispatch", points=npoints, chunks=len(chunks),
                      chunk_size=chunk_size, workers=workers)
         tel_spec = (tel.path, tel.sweep) if tel is not None else None
         pool = ProcessPoolExecutor(max_workers=workers)
         recover: list[tuple] = []  # (idx, cfg, pool_error | None)
-        submitted: dict = {}       # future -> submission perf_counter
-        try:
-            future_chunks = {}
-            for chunk in chunks:
-                future = pool.submit(_run_chunk, chunk, self.check,
-                                     self.check_stride, tel_spec)
-                future_chunks[future] = [point for unit in chunk
-                                         for point in unit]
-                submitted[future] = time.perf_counter()
-        except Exception:
-            # Pool unusable from the start (e.g. fork failure): everything
-            # runs inline.
-            recover = [(idx, cfg, None)
-                       for unit in units for idx, cfg in unit]
-            future_chunks = {}
-            if tel is not None:
-                tel.emit("degrade", reason="pool-unusable",
-                         points=npoints)
-        pending = set(future_chunks)
-        while pending:
-            done, pending = wait(pending, timeout=self.timeout,
-                                 return_when=FIRST_COMPLETED)
+        # future -> (its (idx, cfg) points, trace keys it generates,
+        # submission perf_counter); entries leave as futures complete.
+        inflight: dict = {}
+        generating: set = set()    # trace keys claimed by inflight chunks
+        held: list[int] = []       # chunk indices waiting for a trace
+        sent = 0                   # points submitted so far
+        unusable = False
+
+        def dispatch(i: int) -> None:
+            nonlocal sent, unusable
+            if needs[i] & generating:
+                held.append(i)
+                return
+            points = [point for unit in chunks[i] for point in unit]
+            if not unusable:
+                missing = tuple(needs[i] - ready.keys())
+                shipped = {key: ready[key]
+                           for key in needs[i] & ready.keys()}
+                try:
+                    future = pool.submit(_run_chunk, chunks[i], self.check,
+                                         self.check_stride, tel_spec,
+                                         shipped, missing)
+                except Exception:
+                    # Pool unusable (e.g. fork failure): this chunk and
+                    # every later one run inline.
+                    unusable = True
+                    if tel is not None:
+                        tel.emit("degrade", reason="pool-unusable",
+                                 points=npoints - sent)
+                else:
+                    inflight[future] = (points, missing,
+                                        time.perf_counter())
+                    generating.update(missing)
+                    sent += len(points)
+                    return
+            recover.extend((idx, cfg, None) for idx, cfg in points)
+
+        for i in range(len(chunks)):
+            dispatch(i)
+        while inflight:
+            done, _ = wait(inflight, timeout=self.timeout,
+                           return_when=FIRST_COMPLETED)
             if not done:
                 # No chunk completed within the timeout window: stop
                 # trusting the pool, salvage the rest in-process.
-                stalled = 0
-                for future in pending:
+                stalled = []
+                for future, (points, _, _) in inflight.items():
                     future.cancel()
-                    recover.extend((idx, cfg, None)
-                                   for idx, cfg in future_chunks[future])
-                    stalled += len(future_chunks[future])
+                    stalled.extend(points)
+                for i in held:
+                    stalled.extend(point for unit in chunks[i]
+                                   for point in unit)
+                recover.extend((idx, cfg, None) for idx, cfg in stalled)
                 if tel is not None:
                     tel.emit("degrade", reason="stall-timeout",
-                             timeout_s=self.timeout, points=stalled)
-                pending = set()
+                             timeout_s=self.timeout, points=len(stalled))
                 break
             for future in done:
-                chunk = future_chunks[future]
+                chunk, claimed, sent_at = inflight.pop(future)
+                generating.difference_update(claimed)
                 try:
-                    outcomes = future.result()
+                    outcomes, packed = future.result()
                 except Exception as exc:
                     # Worker process died / pool broke mid-flight: the
                     # chunk's points rerun serially.
@@ -629,16 +725,22 @@ class _Scheduler:
                                  points=len(chunk),
                                  cause=f"{type(exc).__name__}: {exc}")
                     continue
+                ready.update(packed)
                 if tel is not None:
                     tel.emit("chunk", points=len(chunk),
                              turnaround_s=round(
-                                 time.perf_counter() - submitted[future],
-                                 6))
+                                 time.perf_counter() - sent_at, 6))
                 for (idx, cfg), outcome in zip(chunk, outcomes):
                     if isinstance(outcome, SweepPointError):
                         recover.append((idx, cfg, outcome))
                     else:
                         self.finish_point(idx, outcome)
+            # Release the chunks whose traces just landed (or whose
+            # generating chunk failed: the next one generates).
+            waiting = held[:]
+            held.clear()
+            for i in waiting:
+                dispatch(i)
         pool.shutdown(wait=False, cancel_futures=True)
         for idx, cfg, err in sorted(recover, key=lambda item: item[0]):
             if err is not None and self.max_attempts <= 1:

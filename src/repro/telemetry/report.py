@@ -59,6 +59,7 @@ def _span_accumulators(records):
         "chunks": 0, "turnaround_s": 0.0,
         "persist_store_s": 0.0, "persist_journal_s": 0.0,
         "degrades": [],
+        "traces": 0,             # CMP traces generated during the sweep
         "store_by_pid": {},      # pid -> last cumulative counter delta
         "per_worker": {},        # pid -> {points, busy_s}
     }
@@ -91,6 +92,8 @@ def _span_accumulators(records):
                                            or 0.0)
         elif ev == "degrade":
             state["degrades"].append(record.get("reason"))
+        elif ev == "trace":
+            state["traces"] += 1
         elif ev == "persist":
             state["persist_store_s"] += float(record.get("store_s") or 0.0)
             state["persist_journal_s"] += float(record.get("journal_s")
@@ -165,6 +168,7 @@ def build_sweep_report(records: list[dict]) -> dict:
         "points": total,
         "completed": completed,
         "failed": len(state["errors"]),
+        "traces_generated": state["traces"],
         "wall_s": wall_s,
         "points_per_s": (round(completed / wall_s, 3) if wall_s > 0
                          else None),

@@ -28,6 +28,7 @@ Record vocabulary (the ``ev`` field):
 ``degrade``               scheduler degradation: pool-unusable /
                           worker-failure / stall-timeout
 ``persist``               store write-through + journal append walls
+``trace``                 one generated CMP trace: benchmark, memo key, wall
 ``worker_store``          one process's ResultStore counter delta
 ``sweep_end``             status (ok/error), completed count, total wall
 ========================  ==================================================

@@ -4,7 +4,8 @@ Reuses the PR 3 exporter envelope (``instrument.tracer``), so a sweep's
 execution trace opens in Perfetto / ``chrome://tracing`` exactly like a
 core-level flit trace — but here the *processes are real*: the
 scheduler and each worker get their own track (``pid``), point spans
-render as duration slices on them, and scheduler lifecycle events
+render as duration slices on them (CMP trace generation too, nested in
+the point that generated it), and scheduler lifecycle events
 (retries, degradation, failed attempts) render as instants. Batched
 units render as an enclosing slice with their lanes fanned out on
 per-lane threads.
@@ -74,6 +75,13 @@ def telemetry_chrome_trace(records: list[dict]) -> dict:
                 "pid": pid, "tid": 0,
                 "args": {"lanes": record.get("lanes"),
                          "status": record.get("status")}})
+        elif ev == "trace":
+            dur = float(record.get("dur_s") or 0.0)
+            events.append({
+                "name": f"trace:{record.get('benchmark')}",
+                "cat": "trace", "ph": "X", "ts": us(t - dur),
+                "dur": round(dur * 1e6, 1), "pid": pid, "tid": 0,
+                "args": {"key": record.get("key")}})
         elif ev == "chunk":
             dur = float(record.get("turnaround_s") or 0.0)
             events.append({

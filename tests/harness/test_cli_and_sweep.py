@@ -19,6 +19,21 @@ def test_cli_run_single_scheme(capsys):
     assert "Pseudo+S+B" in out
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--cycles", "0"], "got 0"),
+    (["--cycles", "-5"], "got -5"),
+    (["--topology", "kite", "--routing", "xy"], "'kite'"),
+    (["--topology", "kite"], "'xy'"),
+])
+def test_cli_run_refuses_a_bad_config_as_usage_error(argv, named, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--scheme", "baseline", *argv])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: refused configuration" in err
+    assert named in err
+
+
 def test_cli_requires_command():
     with pytest.raises(SystemExit):
         main([])

@@ -16,6 +16,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(benchmark="fft", pattern="uniform")
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"pattern": "uniform", "synth_cycles": 0}, "synth_cycles"),
+        ({"pattern": "uniform", "synth_cycles": -5}, "got -5"),
+        ({"pattern": "uniform", "synth_warmup": -1}, "synth_warmup"),
+        ({"benchmark": "fft", "trace_cycles": 0}, "trace_cycles"),
+        ({"pattern": "uniform", "topology": "kite", "routing": "xy"},
+         "'xy'"),
+        ({"pattern": "uniform", "topology": "chiplet",
+          "routing": "o1turn"}, "'o1turn'"),
+    ])
+    def test_refuses_a_bad_config_by_name(self, fields, named):
+        with pytest.raises(ValueError, match=named):
+            ExperimentConfig(**fields)
+
     def test_label(self):
         cfg = ExperimentConfig(pattern="uniform", rate=0.1, scheme=PSEUDO_SB)
         assert "Pseudo+S+B" in cfg.label

@@ -194,3 +194,12 @@ class TestWorkerStore:
             by_pid[record["pid"]] = record["stats"]
         puts = sum(stats["puts"] for stats in by_pid.values())
         assert puts == len(points)
+        # The scheduler owns the store: one lookup and one write per
+        # point, both in the parent; workers neither read nor write.
+        (parent,) = [r["stats"] for r in deltas if r.get("role")]
+        assert parent["misses"] == parent["puts"] == len(points)
+        assert parent["redundant"] == 0
+        workers = [r["stats"] for r in deltas if not r.get("role")]
+        assert workers
+        assert all(stats["puts"] == stats["misses"] == 0
+                   for stats in workers)
